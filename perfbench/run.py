@@ -264,6 +264,16 @@ def median(xs):
     return statistics.median(xs) if xs else 0.0
 
 
+def low(xs):
+    """10th percentile: the time of a repetition that no slow spell of the
+    host hit.  Interference only ever adds time, and on a shared host the
+    spells of a few seconds hit half of a run's repetitions often enough
+    to move a median by a fifth from one run to the next."""
+    if len(xs) < 2:
+        return xs[0]
+    return statistics.quantiles(xs, n=10, method="inclusive")[0]
+
+
 # ---- modes ------------------------------------------------------------------
 
 def measure(session, seconds):
@@ -272,22 +282,31 @@ def measure(session, seconds):
     t0 = time.monotonic()
     while not reps or time.monotonic() - t0 < seconds:
         for i in range(ROUND[session.workload]):
-            reps.append(session.rep(i))
+            rep = session.rep(i)
+            rep["index"] = i
+            reps.append(rep)
     return reps
 
 
 def end_to_end(session, seconds, setup_s):
+    """Times are 10th percentiles over the repetitions (see `low`); a job's
+    time is its own 10th percentile over the repetitions that ran it, and
+    job_p50_ms is the median of those over the jobs."""
     reps = measure(session, seconds)
-    jobs_ms = [ms for r in reps for ms in r["job_ms"]]
+    by_job = {}
+    for r in reps:
+        for pos, ms in enumerate(r["job_ms"]):
+            by_job.setdefault((r["index"], pos), []).append(ms)
     metrics = {
         "setup_s": (setup_s, "s"),
-        "wall_s": (median([r["wall_s"] for r in reps]), "s"),
-        "job_p50_ms": (median(jobs_ms), "ms"),
-        "cpu_s": (median([r["cpu_s"] for r in reps]), "s"),
+        "wall_s": (low([r["wall_s"] for r in reps]), "s"),
+        "job_p50_ms": (median([low(v) for v in by_job.values()]), "ms"),
+        "cpu_s": (low([r["cpu_s"] for r in reps]), "s"),
         "peak_rss_mb": (median([r["peak_rss_mb"] for r in reps]), "MB"),
     }
     log(f"{session.workload}: {len(reps)} repetitions, "
-        f"{len(jobs_ms)} jobs")
+        f"{sum(len(v) for v in by_job.values())} jobs, "
+        f"{len(by_job)} distinct")
     return reps, metrics
 
 
@@ -403,6 +422,11 @@ def main():
         else:
             session = Session(bindir, root, rundir, args.workload, args.seed,
                               traced=False)
+            # One untimed repetition warms the page cache for the binary
+            # and the inputs; its outputs are checked but not counted.  It
+            # belongs to the set-up, which then holds a whole cold run of
+            # the program rather than a few process starts alone.
+            check_report(session.rep(0), "warm-up")
             setup_s = time.monotonic() - PROCESS_START - build_s
             reps, metrics = end_to_end(session, args.seconds, setup_s)
     except BenchError as e:
